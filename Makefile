@@ -6,7 +6,7 @@ ENGINEOUT ?= results/BENCH_engine.json
 COMMITOUT ?= results/BENCH_commitagg.json
 COLLOUT ?= results/BENCH_coll.json
 
-.PHONY: build test vet race bench benchsmoke apicheck ci
+.PHONY: build test vet race bench benchsmoke fuzzsmoke apicheck ci
 
 build:
 	$(GO) build ./...
@@ -74,7 +74,15 @@ bench:
 benchsmoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
+# fuzzsmoke runs each native fuzz target over the decoders of untrusted
+# input (sparse matrix rows, daemon ingest frames) for 10 s, on top
+# of the seed corpora under testdata/fuzz/ that plain `go test` replays.
+fuzzsmoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRow$$' -fuzztime 10s ./internal/sparsemat
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 10s ./internal/monsvc
+
 # ci is the gate for a change: static checks, full build, the whole test
 # suite, the race tier on the instrumented packages, a one-iteration pass
-# over every benchmark, and the exported-API pin.
-ci: vet build test race benchsmoke apicheck
+# over every benchmark, a short fuzz pass over the untrusted decoders, and
+# the exported-API pin.
+ci: vet build test race benchsmoke fuzzsmoke apicheck

@@ -1,7 +1,8 @@
 // Command exp-collopt regenerates the paper's Fig. 5: the walltime of
 // tree-based collectives (reduce, binary tree; bcast, binomial tree) with
 // the default round-robin mapping versus monitoring-driven rank
-// reordering, across buffer sizes and world sizes.
+// reordering, across buffer sizes and world sizes. Every point runs on the
+// event engine, so the printed medians are exact and repeatable.
 package main
 
 import (
@@ -20,12 +21,7 @@ func main() {
 	telem := flag.String("telemetry", "", "write a Chrome trace-event file of the run's telemetry spans")
 	cpuprof := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprof := flag.String("memprofile", "", "write a pprof heap profile (after the run) to this file")
-	engine := flag.String("engine", "auto", "execution engine: goroutine, event, or auto (event above 8192 ranks)")
 	flag.Parse()
-	if err := exp.EngineSetup(*engine); err != nil {
-		fmt.Fprintln(os.Stderr, "exp-collopt:", err)
-		os.Exit(1)
-	}
 	flush := exp.TelemetrySetup(*telem)
 	stopProf, err := exp.ProfileSetup(*cpuprof, *memprof)
 	if err != nil {

@@ -1,8 +1,9 @@
 // Command exp-guidelines verifies Hunold-style performance guidelines
 // (a collective must not be slower than its mock-up composition) exactly
-// on the deterministic netsim clock, and sweeps the collective-algorithm
-// autotuner over the acceptance grid, asserting the tuned pick is never
-// slower than the fixed default. Any guideline violation exits 1.
+// on the deterministic netsim clock of the event engine, and sweeps the
+// collective-algorithm autotuner over the acceptance grid, asserting the
+// tuned pick is never slower than the fixed default. Any guideline
+// violation exits 1.
 package main
 
 import (
@@ -24,11 +25,7 @@ func main() {
 	sweepSizes := flag.String("sweep-sizes", "4096,8192,16384,32768,65536,131072,262144,524288", "total payload bytes for the autotuner sweep")
 	sweepOps := flag.String("sweep-ops", "allreduce", "operations to sweep")
 	telem := flag.String("telemetry", "", "write a Chrome trace-event file of the run's telemetry spans")
-	engine := flag.String("engine", "auto", "execution engine: goroutine, event, or auto (event above 8192 ranks)")
 	flag.Parse()
-	if err := exp.EngineSetup(*engine); err != nil {
-		fail(err)
-	}
 	flush := exp.TelemetrySetup(*telem)
 
 	cfg := exp.DefaultGuidelines

@@ -79,16 +79,16 @@ func runCollective(op string, c *mpi.Comm, bytes int) error {
 }
 
 // collTime measures the median virtual duration of the collective over
-// reps runs. With reordering, one monitored collective feeds TreeMatch
-// before the measurement; the collective then runs on the optimized
-// communicator.
+// reps runs, on the event engine so the median is exact. With
+// reordering, one monitored collective feeds TreeMatch before the
+// measurement; the collective then runs on the optimized communicator.
 func collTime(op string, np, bytes, reps int, withReorder bool) (time.Duration, error) {
 	mach := netsim.PlaFRIM(Nodes(np))
 	rr, err := treematch.PlacementRoundRobin(np, mach.Topo)
 	if err != nil {
 		return 0, err
 	}
-	w, err := newWorld(mach, np, mpi.WithPlacement(rr))
+	w, err := newWorld(mach, np, mpi.WithPlacement(rr), mpi.WithEngine(mpi.EngineEvent))
 	if err != nil {
 		return 0, err
 	}

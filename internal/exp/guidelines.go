@@ -149,12 +149,14 @@ func guidelineDefs() []guidelineDef {
 // barrier aligns the ranks, then reps timed iterations each closed by a
 // barrier; the rank-0 median of the clock deltas is returned. Fresh
 // worlds keep measurements order-independent (NIC contention state never
-// leaks between points).
+// leaks between points), and the event engine makes them exact: the
+// goroutine engine serializes NIC contention in host-scheduler order, so
+// its clocks differ from run to run.
 func measureKernel(mach *netsim.Machine, np, blk, reps int, kernel func(c *mpi.Comm, blk int) error) (time.Duration, error) {
 	if reps <= 0 {
 		reps = 3
 	}
-	w, err := newWorld(mach, np)
+	w, err := newWorld(mach, np, mpi.WithEngine(mpi.EngineEvent))
 	if err != nil {
 		return 0, err
 	}
@@ -291,11 +293,11 @@ type AutotuneRow struct {
 	Picked  time.Duration
 }
 
-// AutotuneSweep tunes over the grid and evaluates the picks. The returned
-// error is non-nil if any pick is slower than the default — impossible by
-// construction (the pick is the argmin over a set containing the
-// default), so a failure here means the measurement itself lost its
-// determinism.
+// AutotuneSweep tunes over the grid, on the event engine so every cost
+// is exact, and evaluates the picks. The returned error is non-nil if any
+// pick is slower than the default — impossible by construction (the pick
+// is the argmin over a set containing the default), so a failure here
+// means the measurement itself lost its determinism.
 func AutotuneSweep(cfg AutotuneConfig) ([]AutotuneRow, *coll.Table, error) {
 	machine, err := MachineFor(cfg.Topo)
 	if err != nil {
@@ -307,7 +309,8 @@ func AutotuneSweep(cfg AutotuneConfig) ([]AutotuneRow, *coll.Table, error) {
 		NPs:     cfg.NPs,
 		Sizes:   cfg.Sizes,
 		Reps:    cfg.Reps,
-		Opts:    append(append([]mpi.Option(nil), engineOpt...), worldOptions...),
+		Opts:    worldOptions,
+		Engine:  mpi.EngineEvent,
 	}
 	table := coll.NewTable(cfg.Topo)
 	var rows []AutotuneRow

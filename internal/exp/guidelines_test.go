@@ -92,3 +92,42 @@ func TestMachineForRejectsUnknown(t *testing.T) {
 		}
 	}
 }
+
+// TestDriversDeterministic runs each driver whose table is checked in
+// (guidelines, autotune sweep, Fig. 5) twice in one process and requires
+// byte-identical printed output: these numbers are called exact, so they
+// must not depend on host scheduling.
+func TestDriversDeterministic(t *testing.T) {
+	drivers := map[string]func(*bytes.Buffer) error{
+		"guidelines": func(buf *bytes.Buffer) error {
+			rows, err := Guidelines(GuidelinesConfig{Topo: "fatnode", NPs: []int{8, 12}, Blocks: []int{64, 4096}, Reps: 2})
+			PrintGuidelines(buf, rows)
+			return err
+		},
+		"autotune": func(buf *bytes.Buffer) error {
+			rows, _, err := AutotuneSweep(AutotuneConfig{Topo: "plafrim", Ops: []coll.Op{coll.OpAllreduce},
+				NPs: []int{24}, Sizes: []int{4096, 262144}, Reps: 2})
+			PrintAutotune(buf, rows)
+			return err
+		},
+		"collopt": func(buf *bytes.Buffer) error {
+			rows, err := CollectiveOpt(CollOptConfig{Op: "bcast", NPs: []int{48}, BufSizes: []int{5000}, Reps: 3})
+			PrintCollOpt(buf, rows)
+			return err
+		},
+	}
+	for name, run := range drivers {
+		t.Run(name, func(t *testing.T) {
+			var a, b bytes.Buffer
+			if err := run(&a); err != nil {
+				t.Fatal(err)
+			}
+			if err := run(&b); err != nil {
+				t.Fatal(err)
+			}
+			if a.String() != b.String() {
+				t.Fatalf("two runs printed different tables:\n%s\nvs\n%s", a.String(), b.String())
+			}
+		})
+	}
+}

@@ -75,6 +75,11 @@ func DecodeFrame(b []byte, n int) (epoch uint64, rows []RankRow, err error) {
 	if nRows > uint64(n) {
 		return 0, nil, fmt.Errorf("monsvc: frame claims %d rows for a world of %d", nRows, n)
 	}
+	// Each row takes at least 2 bytes (rank and entry count), so a
+	// count the input cannot hold is rejected before it sizes anything.
+	if nRows > uint64(len(b)-off)/2 {
+		return 0, nil, fmt.Errorf("monsvc: frame claims %d rows in %d bytes", nRows, len(b)-off)
+	}
 	rows = make([]RankRow, 0, nRows)
 	for i := uint64(0); i < nRows; i++ {
 		rank, k := binary.Uvarint(b[off:])

@@ -60,9 +60,9 @@ func requireSame(t *testing.T, eager, batched *Monitor, n int) {
 	}
 }
 
-// TestBatchedMatchesEager pins barrier exactness on both backends: a
-// batched monitor read at any point reports exactly what an eager one
-// does, for every policy in the grid.
+// TestBatchedMatchesEager pins barrier exactness: a batched monitor read
+// at any point reports exactly what an eager one does, for every policy
+// in the grid.
 func TestBatchedMatchesEager(t *testing.T) {
 	const n = 128
 	pols := []commitagg.Policy{
@@ -72,38 +72,30 @@ func TestBatchedMatchesEager(t *testing.T) {
 		{Threshold: 7, IntervalNs: 333},
 	}
 	for _, pol := range pols {
-		for _, sparse := range []bool{false, true} {
-			mk := func() *Monitor { return NewMonitor(n, Distinct) }
-			var eager, batched *Monitor
-			if sparse {
-				forceSparse(t, func() { eager, batched = mk(), mk() })
-			} else {
-				eager, batched = mk(), mk()
-			}
-			batched.SetCommitPolicy(pol)
-			driveWorkload(eager, 7, 5000)
-			driveWorkload(batched, 7, 5000)
-			requireSame(t, eager, batched, n)
-			// Reading mid-stream must not disturb subsequent exactness.
-			driveWorkload(eager, 11, 1000)
-			driveWorkload(batched, 11, 1000)
-			requireSame(t, eager, batched, n)
-		}
+		eager, batched := NewMonitor(n, Distinct), NewMonitor(n, Distinct)
+		batched.SetCommitPolicy(pol)
+		driveWorkload(eager, 7, 5000)
+		driveWorkload(batched, 7, 5000)
+		requireSame(t, eager, batched, n)
+		// Reading mid-stream must not disturb subsequent exactness.
+		driveWorkload(eager, 11, 1000)
+		driveWorkload(batched, 11, 1000)
+		requireSame(t, eager, batched, n)
 	}
 }
 
 // TestSetCommitPolicyEagerRestoresDirectPath pins that an eager policy
-// tears the pending cache down after folding what it held.
+// turns the pending cache off after folding what it held.
 func TestSetCommitPolicyEagerRestoresDirectPath(t *testing.T) {
 	m := NewMonitor(8, Distinct)
 	m.SetCommitPolicy(commitagg.Policy{Threshold: 1000, IntervalNs: -1})
 	m.Record(P2P, 3, 100, 0)
-	if m.pend == nil {
-		t.Fatal("batched policy did not install pending cache")
+	if !m.batched {
+		t.Fatal("batched policy did not enable the pending cache")
 	}
 	m.SetCommitPolicy(commitagg.Eager)
-	if m.pend != nil {
-		t.Fatal("eager policy left pending cache installed")
+	if m.batched {
+		t.Fatal("eager policy left the pending cache enabled")
 	}
 	if got := m.TotalBytes(P2P); got != 100 {
 		t.Fatalf("TotalBytes after policy switch = %d, want 100 (pending fold lost)", got)
@@ -133,7 +125,7 @@ func TestResetDiscardsPending(t *testing.T) {
 }
 
 // TestBatchedFoldRatio pins that a heavy-churn repeat-destination workload
-// amortizes backend folds: far fewer folds than logical updates.
+// amortizes folds: far fewer folds than logical updates.
 func TestBatchedFoldRatio(t *testing.T) {
 	m := NewMonitor(64, Distinct)
 	m.SetCommitPolicy(commitagg.Default())

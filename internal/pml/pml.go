@@ -94,46 +94,33 @@ type Monitor struct {
 	recIDs    []int
 	recorders atomic.Pointer[[]Recorder]
 
-	// counts[class][dst] and bytes[class][dst], flat to keep allocation
-	// count low; accessed with atomics. nil when the monitor uses the
-	// sparse backend (n > DenseLimit).
-	counts []uint64
-	bytes  []uint64
+	// tab holds one counter table per class. Each table is sized by the
+	// peers actually touched, so per-process monitoring memory is
+	// O(touched) at every world size: real applications talk to a few
+	// neighbours, not to the whole world.
+	tab [NumClasses]table
 
-	// Touched-peer tracking, so readers can visit only destinations with
-	// any recorded traffic instead of scanning the whole world. touchBits
-	// is a per-class bitmap of touched destinations; touchList[class] is
-	// an append-only log of first touches (slot values are dst+1, written
-	// atomically after the length is claimed, so a concurrent reader may
-	// transiently see a zero slot and must skip it). touchWords is the
-	// per-class bitmap stride in uint32 words.
-	touchWords int
-	touchBits  []uint32
-	touchList  []int32
-	touchLen   [NumClasses]atomic.Int64
-
-	// sp is the sparse backend, non-nil iff n > DenseLimit: per-class maps
-	// keyed by destination, sized by peers actually touched. A dense
-	// monitor costs ~56 bytes per world rank per process — 3.4 GiB/rank at
-	// np = 65536 — while real applications talk to O(touched) neighbours;
-	// the sparse backend makes per-process monitoring memory O(touched).
-	sp []spClass
-
-	// pend is the commit-on-threshold front of the per-peer fold: a tiny
-	// associative cache of pending (dst -> count/bytes) deltas per
-	// class, non-nil iff batching is enabled (SetCommitPolicy). A
-	// heavy-churn send touches only its local slot; the backend map (or
-	// dense row) sees one merged fold per policy threshold/interval —
+	// batched is set by a non-eager commit policy (SetCommitPolicy):
+	// Record then accumulates into each table's pending cache, and the
+	// cells see one merged fold per policy threshold/interval —
 	// committing information, not traffic. Every read path flushes first
 	// so barriers (session Suspends, gathers) observe exact counters.
-	pend []pendClass
-	pol  commitagg.Policy
+	batched bool
+	pol     commitagg.Policy
 
-	// Batched-fold accounting (logical updates vs. backend folds), the
-	// commit-ratio the benchmarks report.
+	// Batched-fold accounting (logical updates vs. folds into the cells),
+	// the commit-ratio the benchmarks report.
 	statUpdates atomic.Uint64
 	statCommits atomic.Uint64
 	statFolds   atomic.Uint64
+}
+
+// cell holds the two counters of one (class, destination) pair. The
+// pending cache reuses it for not-yet-folded deltas, with dst = -1 marking
+// an empty slot.
+type cell struct {
+	dst      int32
+	cnt, byt uint64
 }
 
 // pendSlots is the per-class pending-cache size. 8 slots cover the
@@ -142,75 +129,37 @@ type Monitor struct {
 // correctness.
 const pendSlots = 8
 
-// pendEntry is one pending accumulation slot: deltas for a single
-// destination not yet folded into the backend.
-type pendEntry struct {
-	dst      int32 // -1 when empty
-	cnt, byt uint64
-}
-
-// pendClass is one class's pending state: a small fully-associative
-// cache of per-destination deltas. Full associativity matters — a
-// direct-mapped index thrashes whenever two halo neighbours share low
-// bits (r-gx and r+gx collide for any gx ≡ 0 mod slots), while a linear
-// scan of 8 entries is a handful of compares and never displaces a
-// neighbourhood of degree ≤ 8. The mutex is shard-local (one writer rank
-// in steady state) and ordered strictly before the backend locks it
-// folds into.
-type pendClass struct {
+// table is one class's counters: a cell for every destination touched
+// since the monitor was created (or last Reset), in first-touch order,
+// fronted by the class's pending cache under a batched policy. One mutex
+// guards both; the monitor belongs to one process, so it never contends
+// in steady state, and readers are rare gather-time barriers.
+//
+// The pending cache is fully associative. A direct-mapped index thrashes
+// whenever two halo neighbours share low bits (r-gx and r+gx collide for
+// any gx ≡ 0 mod slots), while a linear scan of 8 entries is a handful of
+// compares and never displaces a neighbourhood of degree ≤ 8.
+type table struct {
 	mu    sync.Mutex
+	cells []cell
+	index map[int32]int32 // dst -> position in cells; no pointers inside, so the GC never scans it
+
 	n     int   // logical updates since the last full fold
 	since int64 // clock of the last full fold
 	vic   int   // round-robin eviction cursor for degree > pendSlots
-	slots [pendSlots]pendEntry
-}
-
-// DenseLimit is the world size above which NewMonitor switches from the
-// flat atomic arrays to the sparse map backend. Exported as a variable so
-// scale tests can force either backend.
-var DenseLimit = 4096
-
-// spClass is one communication class of the sparse backend. A mutex (not
-// atomics) guards the map: the monitor belongs to one process, so writes
-// never contend in practice, and readers are rare gather-time operations.
-type spClass struct {
-	mu    sync.Mutex
-	cells map[int32]*spCell
-	order []int32 // first-touch order, mirroring touchList
-}
-
-// spCell holds the two counters of one (class, destination) pair.
-type spCell struct {
-	cnt, byt uint64
+	slots [pendSlots]cell
 }
 
 // NewMonitor builds a monitor for a world of n ranks at the given level.
 func NewMonitor(n int, level Level) *Monitor {
 	m := &Monitor{n: n}
-	if n > DenseLimit {
-		m.sp = make([]spClass, NumClasses)
-	} else {
-		words := (n + 31) / 32
-		m.counts = make([]uint64, int(NumClasses)*n)
-		m.bytes = make([]uint64, int(NumClasses)*n)
-		m.touchWords = words
-		m.touchBits = make([]uint32, int(NumClasses)*words)
-		m.touchList = make([]int32, int(NumClasses)*n)
+	for cl := range m.tab {
+		for i := range m.tab[cl].slots {
+			m.tab[cl].slots[i].dst = -1
+		}
 	}
 	m.level.Store(int32(level))
 	return m
-}
-
-// orUint32 atomically ors bit into *p and returns the previous value
-// (a CAS loop; sync/atomic's Or functions need a newer language version
-// than this module targets).
-func orUint32(p *uint32, bit uint32) uint32 {
-	for {
-		old := atomic.LoadUint32(p)
-		if old&bit != 0 || atomic.CompareAndSwapUint32(p, old, old|bit) {
-			return old
-		}
-	}
 }
 
 // Size returns the number of destination ranks tracked.
@@ -285,35 +234,24 @@ func (m *Monitor) RemoveRecorder(id int) {
 // front of the per-peer counters. An eager policy (Threshold <= 1) folds
 // any pending deltas and restores the direct per-message path; a batched
 // policy makes Record accumulate into a small per-class pending cache
-// that folds into the backend only on threshold, interval or a read
+// that folds into the cells only on threshold, interval or a read
 // barrier. Totals observed by any reader are bit-identical either way.
 func (m *Monitor) SetCommitPolicy(p commitagg.Policy) {
 	m.flushPending()
-	if p.Eager() {
-		m.pend = nil
-		m.pol = commitagg.Eager
-		return
-	}
-	pend := make([]pendClass, NumClasses)
-	for cl := range pend {
-		for i := range pend[cl].slots {
-			pend[cl].slots[i].dst = -1
-		}
-	}
-	m.pend = pend
+	m.batched = !p.Eager()
 	m.pol = p.Norm()
 }
 
 // CommitPolicy returns the monitor's current commit policy.
 func (m *Monitor) CommitPolicy() commitagg.Policy {
-	if m.pend == nil {
+	if !m.batched {
 		return commitagg.Eager
 	}
 	return m.pol
 }
 
 // AggStats returns the batched-fold counters: logical updates accepted,
-// commit rounds, and backend folds performed. With batching disabled the
+// commit rounds, and folds into the cells. With batching disabled the
 // stats stay zero (the direct path does not count).
 func (m *Monitor) AggStats() commitagg.Stats {
 	return commitagg.Stats{
@@ -338,11 +276,17 @@ func (m *Monitor) Record(class Class, dst int, size int, when int64) {
 	if m.suppress.Load() > 0 {
 		return
 	}
-	if m.pend != nil {
-		m.recordBatched(class, dst, size, when)
-	} else {
-		m.fold(class, dst, 1, uint64(size))
+	if uint(dst) >= uint(m.n) {
+		panic(fmt.Sprintf("pml: destination %d outside world of %d", dst, m.n))
 	}
+	t := &m.tab[class]
+	t.mu.Lock()
+	if m.batched {
+		m.recordBatched(t, int32(dst), uint64(size), when)
+	} else {
+		t.fold(int32(dst), 1, uint64(size))
+	}
+	t.mu.Unlock()
 	if rs := m.recorders.Load(); rs != nil {
 		for _, r := range *rs {
 			r(class, dst, size, when)
@@ -350,18 +294,16 @@ func (m *Monitor) Record(class Class, dst int, size int, when int64) {
 	}
 }
 
-// recordBatched accumulates one message into the class's pending cache:
+// recordBatched accumulates one message into the table's pending cache:
 // a repeat send to a cached neighbour (the stencil/halo steady state)
 // only bumps its slot. A destination beyond the cache's capacity evicts
-// the round-robin victim into the backend. A full fold of the class
-// fires when the policy threshold or interval trips.
-func (m *Monitor) recordBatched(class Class, dst int, size int, when int64) {
-	c := &m.pend[class]
-	c.mu.Lock()
-	var s *pendEntry
-	for i := range c.slots {
-		e := &c.slots[i]
-		if e.dst == int32(dst) {
+// the round-robin victim into the cells. A full fold of the class fires
+// when the policy threshold or interval trips. Caller holds t.mu.
+func (m *Monitor) recordBatched(t *table, dst int32, size uint64, when int64) {
+	var s *cell
+	for i := range t.slots {
+		e := &t.slots[i]
+		if e.dst == dst {
 			s = e
 			break
 		}
@@ -371,140 +313,116 @@ func (m *Monitor) recordBatched(class Class, dst int, size int, when int64) {
 	}
 	switch {
 	case s == nil: // cache full of other destinations: evict one
-		s = &c.slots[c.vic]
-		c.vic = (c.vic + 1) & (pendSlots - 1)
-		m.fold(class, int(s.dst), s.cnt, s.byt)
+		s = &t.slots[t.vic]
+		t.vic = (t.vic + 1) & (pendSlots - 1)
+		t.fold(s.dst, s.cnt, s.byt)
 		m.statFolds.Add(1)
-		s.dst = int32(dst)
-		s.cnt = 1
-		s.byt = uint64(size)
-	case s.dst == int32(dst):
+		*s = cell{dst: dst, cnt: 1, byt: size}
+	case s.dst == dst:
 		s.cnt++
-		s.byt += uint64(size)
+		s.byt += size
 	default: // claimed an empty slot
-		s.dst = int32(dst)
-		s.cnt = 1
-		s.byt = uint64(size)
+		*s = cell{dst: dst, cnt: 1, byt: size}
 	}
-	c.n++
+	t.n++
 	m.statUpdates.Add(1)
-	if c.n >= m.pol.Threshold ||
-		(m.pol.IntervalNs > 0 && when-c.since >= m.pol.IntervalNs) {
-		m.foldClassLocked(class, c, when)
+	if t.n >= m.pol.Threshold ||
+		(m.pol.IntervalNs > 0 && when-t.since >= m.pol.IntervalNs) {
+		m.foldPendingLocked(t, when)
 	}
-	c.mu.Unlock()
 }
 
-// foldClassLocked folds every occupied pending slot of one class into the
-// backend and resets the class's trigger state. Caller holds c.mu.
-func (m *Monitor) foldClassLocked(class Class, c *pendClass, when int64) {
-	for i := range c.slots {
-		s := &c.slots[i]
+// foldPendingLocked folds every occupied pending slot of one table into
+// its cells and resets the table's trigger state. Caller holds t.mu.
+func (m *Monitor) foldPendingLocked(t *table, when int64) {
+	for i := range t.slots {
+		s := &t.slots[i]
 		if s.dst >= 0 {
-			m.fold(class, int(s.dst), s.cnt, s.byt)
+			t.fold(s.dst, s.cnt, s.byt)
 			m.statFolds.Add(1)
-			s.dst = -1
-			s.cnt, s.byt = 0, 0
+			*s = cell{dst: -1}
 		}
 	}
-	c.n = 0
-	c.since = when
+	t.n = 0
+	t.since = when
 	m.statCommits.Add(1)
 }
 
-// flushPending folds every class's pending deltas into the backend — the
+// flushPending folds every class's pending deltas into its cells — the
 // read barrier. Every reader (Touched, Counts, CountsAt, TotalBytes, the
 // MPI_T handles above, the session gathers above those) goes through it,
 // which is what makes batched totals bit-identical to eager ones at every
-// observation point. Lock order is pendClass.mu before spClass.mu.
+// observation point.
 func (m *Monitor) flushPending() {
-	if m.pend == nil {
+	if !m.batched {
 		return
 	}
-	for cl := range m.pend {
-		c := &m.pend[cl]
-		c.mu.Lock()
-		if c.n > 0 {
-			m.foldClassLocked(Class(cl), c, c.since)
+	for cl := range m.tab {
+		t := &m.tab[cl]
+		t.mu.Lock()
+		if t.n > 0 {
+			m.foldPendingLocked(t, t.since)
 		}
-		c.mu.Unlock()
+		t.mu.Unlock()
 	}
 }
 
 // fold merges an accumulated (count, bytes) delta for one destination
-// into the backend — the single write path shared by the eager per-message
-// route (cnt=1) and the batched folds.
-func (m *Monitor) fold(class Class, dst int, cnt, byt uint64) {
-	if m.sp != nil {
-		c := &m.sp[class]
-		c.mu.Lock()
-		cell := c.cells[int32(dst)]
-		if cell == nil {
-			if c.cells == nil {
-				c.cells = make(map[int32]*spCell)
-			}
-			cell = &spCell{}
-			c.cells[int32(dst)] = cell
-			c.order = append(c.order, int32(dst))
+// into the cells — the single write path shared by the eager per-message
+// route (cnt=1) and the batched folds. Caller holds t.mu.
+func (t *table) fold(dst int32, cnt, byt uint64) {
+	i, ok := t.index[dst]
+	if !ok {
+		if t.index == nil {
+			t.index = make(map[int32]int32)
 		}
-		cell.cnt += cnt
-		cell.byt += byt
-		c.mu.Unlock()
-		return
+		i = int32(len(t.cells))
+		t.index[dst] = i
+		t.cells = append(t.cells, cell{dst: dst})
 	}
-	i := int(class)*m.n + dst
-	atomic.AddUint64(&m.counts[i], cnt)
-	atomic.AddUint64(&m.bytes[i], byt)
-	// First touch of (class, dst): publish it on the touched list. The
-	// common case (already touched) costs one extra atomic load.
-	w := &m.touchBits[int(class)*m.touchWords+dst>>5]
-	bit := uint32(1) << uint(dst&31)
-	if atomic.LoadUint32(w)&bit == 0 && orUint32(w, bit)&bit == 0 {
-		k := m.touchLen[class].Add(1) - 1
-		atomic.StoreInt32(&m.touchList[int(class)*m.n+int(k)], int32(dst)+1)
+	c := &t.cells[i]
+	c.cnt += cnt
+	c.byt += byt
+}
+
+// read flushes the pending deltas and returns the class's table locked;
+// the caller unlocks it.
+func (m *Monitor) read(class Class) *table {
+	m.flushPending()
+	t := &m.tab[class]
+	t.mu.Lock()
+	return t
+}
+
+// get returns one of the cell's two counters.
+func (c *cell) get(wantBytes bool) uint64 {
+	if wantBytes {
+		return c.byt
 	}
+	return c.cnt
 }
 
 // Counts copies the per-destination message counts of one class into out,
 // which must have length Size().
 func (m *Monitor) Counts(class Class, out []uint64) {
-	m.copyRow(m.counts, class, out, false)
+	m.copyRow(class, out, false)
 }
 
 // Bytes copies the per-destination byte counts of one class into out.
 func (m *Monitor) Bytes(class Class, out []uint64) {
-	m.copyRow(m.bytes, class, out, true)
+	m.copyRow(class, out, true)
 }
 
-func (m *Monitor) copyRow(row []uint64, class Class, out []uint64, wantBytes bool) {
+func (m *Monitor) copyRow(class Class, out []uint64, wantBytes bool) {
 	if len(out) != m.n {
 		panic(fmt.Sprintf("pml: output slice has length %d, want %d", len(out), m.n))
 	}
-	m.flushPending()
-	if m.sp != nil {
-		for j := range out {
-			out[j] = 0
-		}
-		c := &m.sp[class]
-		c.mu.Lock()
-		for dst, cell := range c.cells {
-			out[dst] = cell.load(wantBytes)
-		}
-		c.mu.Unlock()
-		return
+	clear(out)
+	t := m.read(class)
+	defer t.mu.Unlock()
+	for i := range t.cells {
+		out[t.cells[i].dst] = t.cells[i].get(wantBytes)
 	}
-	base := int(class) * m.n
-	for j := 0; j < m.n; j++ {
-		out[j] = atomic.LoadUint64(&row[base+j])
-	}
-}
-
-// load returns one of the cell's two counters; must hold the class mutex.
-func (c *spCell) load(wantBytes bool) uint64 {
-	if wantBytes {
-		return c.byt
-	}
-	return c.cnt
 }
 
 // Touched returns the destination ranks with any traffic recorded for the
@@ -512,27 +430,11 @@ func (c *spCell) load(wantBytes bool) uint64 {
 // order. The result is a fresh slice; its length is the number of peers
 // touched, so callers iterating it pay O(touched), not O(world).
 func (m *Monitor) Touched(class Class) []int {
-	m.flushPending()
-	if m.sp != nil {
-		c := &m.sp[class]
-		c.mu.Lock()
-		out := make([]int, len(c.order))
-		for i, dst := range c.order {
-			out[i] = int(dst)
-		}
-		c.mu.Unlock()
-		return out
-	}
-	k := int(m.touchLen[class].Load())
-	out := make([]int, 0, k)
-	base := int(class) * m.n
-	for i := 0; i < k; i++ {
-		// A zero slot is a first touch whose value is not yet published;
-		// the concurrent Record it belongs to is unordered with this read
-		// anyway, so skipping it is no worse than having read earlier.
-		if v := atomic.LoadInt32(&m.touchList[base+i]); v != 0 {
-			out = append(out, int(v-1))
-		}
+	t := m.read(class)
+	defer t.mu.Unlock()
+	out := make([]int, len(t.cells))
+	for i := range t.cells {
+		out[i] = int(t.cells[i].dst)
 	}
 	return out
 }
@@ -540,102 +442,57 @@ func (m *Monitor) Touched(class Class) []int {
 // CountsAt reads the message counters of one class at the given
 // destinations into out (parallel to peers).
 func (m *Monitor) CountsAt(class Class, peers []int, out []uint64) {
-	m.copyAt(m.counts, class, peers, out, false)
+	m.copyAt(class, peers, out, false)
 }
 
 // BytesAt reads the byte counters of one class at the given destinations
 // into out (parallel to peers).
 func (m *Monitor) BytesAt(class Class, peers []int, out []uint64) {
-	m.copyAt(m.bytes, class, peers, out, true)
+	m.copyAt(class, peers, out, true)
 }
 
-func (m *Monitor) copyAt(row []uint64, class Class, peers []int, out []uint64, wantBytes bool) {
+func (m *Monitor) copyAt(class Class, peers []int, out []uint64, wantBytes bool) {
 	if len(out) != len(peers) {
 		panic(fmt.Sprintf("pml: output slice has length %d for %d peers", len(out), len(peers)))
 	}
-	m.flushPending()
-	if m.sp != nil {
-		c := &m.sp[class]
-		c.mu.Lock()
-		for i, p := range peers {
-			if p < 0 || p >= m.n {
-				c.mu.Unlock()
-				panic(fmt.Sprintf("pml: peer %d outside world of %d", p, m.n))
-			}
-			if cell := c.cells[int32(p)]; cell != nil {
-				out[i] = cell.load(wantBytes)
-			} else {
-				out[i] = 0
-			}
-		}
-		c.mu.Unlock()
-		return
-	}
-	base := int(class) * m.n
+	t := m.read(class)
+	defer t.mu.Unlock()
 	for i, p := range peers {
 		if p < 0 || p >= m.n {
 			panic(fmt.Sprintf("pml: peer %d outside world of %d", p, m.n))
 		}
-		out[i] = atomic.LoadUint64(&row[base+p])
+		out[i] = 0
+		if j, ok := t.index[int32(p)]; ok {
+			out[i] = t.cells[j].get(wantBytes)
+		}
 	}
 }
 
 // TotalBytes returns the total bytes recorded for one class.
 func (m *Monitor) TotalBytes(class Class) uint64 {
-	m.flushPending()
+	t := m.read(class)
+	defer t.mu.Unlock()
 	var s uint64
-	if m.sp != nil {
-		c := &m.sp[class]
-		c.mu.Lock()
-		for _, cell := range c.cells {
-			s += cell.byt
-		}
-		c.mu.Unlock()
-		return s
-	}
-	base := int(class) * m.n
-	for j := 0; j < m.n; j++ {
-		s += atomic.LoadUint64(&m.bytes[base+j])
+	for i := range t.cells {
+		s += t.cells[i].byt
 	}
 	return s
 }
 
-// Reset zeroes every counter and forgets the touched peers. Pending
-// batched deltas are discarded, not folded: Reset starts a new epoch and
-// traffic recorded before it does not belong there.
+// Reset zeroes every counter and forgets the touched peers, keeping the
+// tables' capacity for the next epoch. Pending batched deltas are
+// discarded, not folded: Reset starts a new epoch and traffic recorded
+// before it does not belong there.
 func (m *Monitor) Reset() {
-	if m.pend != nil {
-		for cl := range m.pend {
-			c := &m.pend[cl]
-			c.mu.Lock()
-			for i := range c.slots {
-				c.slots[i] = pendEntry{dst: -1}
-			}
-			c.n = 0
-			c.mu.Unlock()
+	for cl := range m.tab {
+		t := &m.tab[cl]
+		t.mu.Lock()
+		t.cells = t.cells[:0]
+		clear(t.index)
+		for i := range t.slots {
+			t.slots[i] = cell{dst: -1}
 		}
-	}
-	if m.sp != nil {
-		for cl := range m.sp {
-			c := &m.sp[cl]
-			c.mu.Lock()
-			c.cells = nil
-			c.order = nil
-			c.mu.Unlock()
-		}
-		return
-	}
-	for i := range m.counts {
-		atomic.StoreUint64(&m.counts[i], 0)
-		atomic.StoreUint64(&m.bytes[i], 0)
-	}
-	for i := range m.touchList {
-		atomic.StoreInt32(&m.touchList[i], 0)
-	}
-	for i := range m.touchBits {
-		atomic.StoreUint32(&m.touchBits[i], 0)
-	}
-	for cl := range m.touchLen {
-		m.touchLen[cl].Store(0)
+		t.n = 0
+		t.mu.Unlock()
 	}
 }

@@ -71,8 +71,8 @@ func TestResetClearsTouchState(t *testing.T) {
 }
 
 // TestConcurrentFirstTouch races many goroutines over a small peer set so
-// first-touch publication (bitmap CAS + list append) is contended, then
-// checks the list holds each touched peer exactly once.
+// first touches (a new cell appended to the class table) contend, then
+// checks the table holds each touched peer exactly once.
 func TestConcurrentFirstTouch(t *testing.T) {
 	n := 32
 	m := NewMonitor(n, Distinct)

@@ -187,7 +187,9 @@ func TestReorderBackoffChargesVirtualTime(t *testing.T) {
 	})
 	elapsed := func(backoff time.Duration) time.Duration {
 		const np = 4
-		w, err := mpi.NewWorld(testMachine(2, 2), np)
+		// The event engine keeps both runs' clocks exact; the goroutine
+		// engine orders NIC contention by host scheduling.
+		w, err := mpi.NewWorld(testMachine(2, 2), np, mpi.WithEngine(mpi.EngineEvent))
 		if err != nil {
 			t.Fatal(err)
 		}

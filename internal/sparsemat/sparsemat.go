@@ -20,6 +20,7 @@ package sparsemat
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
 // Row is one source rank's nonzero per-destination monitoring data. The
@@ -106,29 +107,36 @@ func DecodeRow(b []byte, n int) (Row, int, error) {
 	if n >= 0 && nnz > uint64(n) {
 		return Row{}, 0, fmt.Errorf("sparsemat: row claims %d entries for a world of %d", nnz, n)
 	}
+	// Each entry takes at least 3 bytes (gap, count, bytes), so a count
+	// the input cannot hold is rejected before it sizes anything.
+	if nnz > uint64(len(b)-off)/3 {
+		return Row{}, 0, fmt.Errorf("sparsemat: row claims %d entries in %d bytes", nnz, len(b)-off)
+	}
 	r := Row{
 		Dst: make([]int32, nnz),
 		Cnt: make([]uint64, nnz),
 		Byt: make([]uint64, nnz),
 	}
-	var dst int64 = -1
+	// Destinations must fit the world and Dst's int32; checking each gap
+	// before adding it keeps the running sum from overflowing.
+	limit := uint64(math.MaxInt32) + 1
+	if n >= 0 && uint64(n) < limit {
+		limit = uint64(n)
+	}
+	var dst uint64
 	for i := 0; i < int(nnz); i++ {
 		gap, k := binary.Uvarint(b[off:])
 		if k <= 0 {
 			return Row{}, 0, fmt.Errorf("sparsemat: truncated destination of entry %d", i)
 		}
 		off += k
-		if i == 0 {
-			dst = int64(gap)
-		} else {
-			if gap == 0 {
-				return Row{}, 0, fmt.Errorf("sparsemat: zero destination gap at entry %d", i)
-			}
-			dst += int64(gap)
+		if i > 0 && gap == 0 {
+			return Row{}, 0, fmt.Errorf("sparsemat: zero destination gap at entry %d", i)
 		}
-		if n >= 0 && dst >= int64(n) {
-			return Row{}, 0, fmt.Errorf("sparsemat: destination %d outside world of %d", dst, n)
+		if gap >= limit || dst+gap >= limit {
+			return Row{}, 0, fmt.Errorf("sparsemat: destination of entry %d outside world of %d", i, n)
 		}
+		dst += gap
 		r.Dst[i] = int32(dst)
 		if r.Cnt[i], k = binary.Uvarint(b[off:]); k <= 0 {
 			return Row{}, 0, fmt.Errorf("sparsemat: truncated count of entry %d", i)
